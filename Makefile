@@ -7,6 +7,7 @@
 #   make trace-determinism # traced campaign: Chrome trace JSON byte-identical across worker counts
 #   make chaos        # crash the daemon mid-job + kill a fleet backend; recovered streams must byte-match
 #   make attack       # the paper's detection matrix (one-command repro)
+#                     # (Tables I/II and platform BoMs: go run ./cmd/mpsocsim -report table1|table2|bom)
 #   make bench-smoke  # short throughput benchmarks so regressions surface in CI logs
 #   make bench-json   # benchmark suite -> build/BENCH_<pr>.json (perf trajectory; CI artifact)
 #   make bench-diff   # fail on ns/op (> 25%) or allocs/op regressions vs perf/BENCH_baseline.json

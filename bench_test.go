@@ -9,6 +9,7 @@ import (
 	"repro/internal/area"
 	"repro/internal/attack"
 	"repro/internal/bus"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/hashtree"
 	"repro/internal/mem"
@@ -48,41 +49,26 @@ func BenchmarkTable1AreaSynthesis(b *testing.B) {
 }
 
 // BenchmarkTable2ModuleLatency regenerates Table II: per-module latency
-// and throughput of the firewall pipeline. The SB figure is *measured* by
-// timing a discarded transfer through a Local Firewall; CC and IC figures
-// come from the hardware timing descriptors and are cross-checked against
-// a live LCF access.
+// and throughput of the firewall pipeline, plus the measured per-zone
+// access costs (area.RenderTable2, the same rendering as mpsocsim -report
+// table2). The SB figure is *measured* by timing a discarded transfer
+// through a Local Firewall; CC and IC figures come from the hardware
+// timing descriptors.
 func BenchmarkTable2ModuleLatency(b *testing.B) {
-	freq := sim.DefaultFrequency
+	freq := uint64(sim.DefaultFrequency)
+	var text string
 	var sbMeasured uint64
 	for i := 0; i < b.N; i++ {
-		// Measure the Security Builder: a blocked access costs exactly
-		// the rule-check latency and nothing else.
-		eng := sim.NewEngine(freq)
-		bs := bus.New(eng, bus.Config{})
-		bs.AddSlave(mem.NewBRAM("bram", 0x1000_0000, 0x1000))
-		lf := core.NewLocalFirewall(eng, "lf", bs.NewMaster("m"),
-			core.MustConfig(core.Policy{SPI: 1, Zone: core.Zone{Base: 0x1000_0000, Size: 0x1000},
-				RWA: core.ReadOnly, ADF: core.AnyWidth}), core.NewAlertLog())
-		tx := &bus.Transaction{Op: bus.Write, Addr: 0x1000_0000, Size: 4, Burst: 1, Data: []uint32{1}}
-		done := false
-		lf.Submit(tx, func(*bus.Transaction) { done = true })
-		eng.RunUntil(func() bool { return done }, 1000)
-		sbMeasured = tx.Completed - tx.Issued
+		text, sbMeasured = area.RenderTable2()
 	}
 	cc := aes.DefaultTiming
 	ic := hashtree.DefaultTiming
-	tb := trace.NewTable("Table II — latency results of the firewalls (measured)",
-		"module", "nb. of clk cycles", "throughput (Mb/s)")
-	tb.AddRow("SB (LF/LCF)", fmt.Sprintf("%d", sbMeasured), "-")
-	tb.AddRow("CC", fmt.Sprintf("%d", cc.Latency), fmt.Sprintf("%.0f", cc.ThroughputMbps(uint64(freq))))
-	tb.AddRow("IC", fmt.Sprintf("%d", ic.Latency), fmt.Sprintf("%.0f", ic.ThroughputMbps(uint64(freq))))
-	printTable(b, "t2", tb.String())
+	printTable(b, "t2", text)
 	b.ReportMetric(float64(sbMeasured), "SB-cycles")
 	b.ReportMetric(float64(cc.Latency), "CC-cycles")
-	b.ReportMetric(cc.ThroughputMbps(uint64(freq)), "CC-Mbps")
+	b.ReportMetric(cc.ThroughputMbps(freq), "CC-Mbps")
 	b.ReportMetric(float64(ic.Latency), "IC-cycles")
-	b.ReportMetric(ic.ThroughputMbps(uint64(freq)), "IC-Mbps")
+	b.ReportMetric(ic.ThroughputMbps(freq), "IC-Mbps")
 }
 
 // BenchmarkFigure1Topology regenerates Figure 1: the distributed
@@ -173,39 +159,48 @@ func BenchmarkAreaVsRuleCount(b *testing.B) {
 }
 
 // BenchmarkAttackContainment is experiment E3: a hijacked IP floods the
-// bus; the victim's slowdown quantifies §III-C's containment requirement
+// bus while the other cores stream benign load; the bystanders' slowdown
+// against an attack-free twin quantifies §III-C's containment requirement
 // ("the attack must not reach the communication architecture").
 func BenchmarkAttackContainment(b *testing.B) {
-	var rows [3]attack.Outcome
+	prots := []soc.Protection{soc.Unprotected, soc.Distributed, soc.Centralized}
+	rows := make([]campaign.Record, len(prots))
 	for i := 0; i < b.N; i++ {
-		rows[0] = attack.DoS(soc.Unprotected)
-		rows[1] = attack.DoS(soc.Distributed)
-		rows[2] = attack.DoS(soc.Centralized)
+		for j, p := range prots {
+			rows[j] = campaign.RunOne(campaign.Config{Scenario: "dos-flood", Protection: p})
+		}
 	}
-	tb := trace.NewTable("E3 — DoS flood containment (victim: 512-word BRAM stream)",
-		"protection", "victim slowdown", "flood bus share", "detected", "contained")
+	tb := trace.NewTable("E3 — DoS flood containment (bystanders: BRAM stream on the other cores)",
+		"protection", "bystander slowdown", "detected", "contained", "verdict")
 	for _, r := range rows {
-		tb.AddRow(r.Protection.String(),
-			fmt.Sprintf("%.2fx", r.Slowdown()),
-			fmt.Sprintf("%.0f%%", r.FloodBusShare*100),
+		tb.AddRow(r.Protection,
+			fmt.Sprintf("%.2fx", r.Slowdown),
 			fmt.Sprintf("%v", r.Detected),
-			fmt.Sprintf("%v", r.Contained))
+			fmt.Sprintf("%v", r.Contained),
+			r.Goal)
 	}
 	printTable(b, "e3", tb.String())
-	b.ReportMetric(rows[0].Slowdown(), "unprotected-slowdown")
-	b.ReportMetric(rows[1].Slowdown(), "distributed-slowdown")
-	b.ReportMetric(rows[2].Slowdown(), "centralized-slowdown")
+	b.ReportMetric(rows[0].Slowdown, "unprotected-slowdown")
+	b.ReportMetric(rows[1].Slowdown, "distributed-slowdown")
+	b.ReportMetric(rows[2].Slowdown, "centralized-slowdown")
 }
 
 // BenchmarkThreatCoverage is experiment E4: the full §III threat model run
-// against all three architectures.
+// one-shot against all three architectures.
 func BenchmarkThreatCoverage(b *testing.B) {
-	var outs map[soc.Protection][]attack.Outcome
+	names := []string{"tamper", "replay", "relocation", "spoof", "zone-escape", "dma-hijack", "format-abuse"}
+	prots := []soc.Protection{soc.Unprotected, soc.Centralized, soc.Distributed}
+	outs := make([][]attack.Outcome, len(names))
 	for i := 0; i < b.N; i++ {
-		outs = map[soc.Protection][]attack.Outcome{
-			soc.Unprotected: attack.All(soc.Unprotected),
-			soc.Distributed: attack.All(soc.Distributed),
-			soc.Centralized: attack.All(soc.Centralized),
+		for j, name := range names {
+			outs[j] = outs[j][:0]
+			for _, p := range prots {
+				sc, err := attack.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				outs[j] = append(outs[j], attack.Run(sc, p))
+			}
 		}
 	}
 	tb := trace.NewTable("E4 — threat-model coverage (detected/contained per scenario)",
@@ -213,20 +208,16 @@ func BenchmarkThreatCoverage(b *testing.B) {
 	fmtCell := func(o attack.Outcome) string {
 		return fmt.Sprintf("det=%v cont=%v", o.Detected, o.Contained)
 	}
-	for i := range outs[soc.Distributed] {
-		tb.AddRow(outs[soc.Distributed][i].Scenario,
-			fmtCell(outs[soc.Unprotected][i]),
-			fmtCell(outs[soc.Centralized][i]),
-			fmtCell(outs[soc.Distributed][i]))
-	}
-	printTable(b, "e4", tb.String())
-	detected := 0
-	for _, o := range outs[soc.Distributed] {
-		if o.Detected && o.Contained {
-			detected++
+	stopped := 0
+	for j, name := range names {
+		row := outs[j]
+		tb.AddRow(name, fmtCell(row[0]), fmtCell(row[1]), fmtCell(row[2]))
+		if row[2].Detected && row[2].Contained {
+			stopped++
 		}
 	}
-	b.ReportMetric(float64(detected), "distributed-stopped-of-7")
+	printTable(b, "e4", tb.String())
+	b.ReportMetric(float64(stopped), "distributed-stopped-of-7")
 }
 
 // BenchmarkDistributedVsCentralized is experiment E5: per-access cost and

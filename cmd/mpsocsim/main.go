@@ -17,6 +17,9 @@
 //	mpsocsim -attack -recovery -format table   # + reaction & recovery table (quarantine/release/recovery)
 //	mpsocsim -attack -recovery -trace incidents.json # Chrome trace_event JSON of every incident (Perfetto)
 //	mpsocsim -modelcheck                       # prove invariants (a)-(d) over the bounded policy+reactor model
+//	mpsocsim -report table1                    # the paper's Table I (area model)
+//	mpsocsim -report table2                    # Table II (firewall latencies) + measured per-zone access costs
+//	mpsocsim -report bom -protection centralized # bill of materials of one platform
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/area"
 	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -71,6 +75,8 @@ type options struct {
 	injectDelay uint64
 
 	doModelcheck bool
+
+	report string
 
 	specFile string
 	dumpSpec bool
@@ -134,7 +140,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.sweepCores, "sweep-cores", "1,2,4", "sweep: core-count axis")
 	fs.StringVar(&o.sweepOut, "sweep-out", "", "sweep: report file (stdout when empty)")
 	fs.IntVar(&o.workers, "workers", 0, "sweep: worker goroutines (GOMAXPROCS when 0)")
-	fs.StringVar(&o.format, "format", "jsonl", "sweep output format: jsonl | csv | json")
+	fs.StringVar(&o.format, "format", "jsonl", "output format: jsonl | csv (-sweep, -attack) | table (-attack)")
 	fs.StringVar(&o.shard, "shard", "", "sweep: run only grid slice i/n of the full grid (e.g. 0/2)")
 	fs.StringVar(&o.merge, "merge", "", "sweep: merge comma-separated shard JSONL files instead of running")
 
@@ -150,6 +156,8 @@ func parseFlags(args []string) (*options, error) {
 
 	fs.BoolVar(&o.doModelcheck, "modelcheck", false,
 		"exhaustively model-check the firewall policy + quarantine reactor automaton (internal/modelcheck) and print the proof summary")
+	fs.StringVar(&o.report, "report", "",
+		"print a paper table and exit: table1 (Table I, area) | table2 (Table II, firewall latencies, plus measured per-zone access costs) | bom (bill of materials of the -protection platform)")
 
 	fs.StringVar(&o.specFile, "spec", "",
 		"versioned JSON spec file driving the run (the same body mpsocd accepts); explicitly-passed axis flags override spec fields, and the run mode follows the spec's kind unless -sweep/-attack is given")
@@ -229,6 +237,10 @@ func main() {
 		}
 	}
 	switch {
+	case o.report != "":
+		if err := runReport(o, os.Stdout); err != nil {
+			fatal(err)
+		}
 	case o.doSweep && o.doAttack:
 		fatal(fmt.Errorf("-sweep and -attack are mutually exclusive"))
 	case o.doModelcheck && (o.doSweep || o.doAttack):
@@ -379,27 +391,40 @@ func runSweep(o *options, w io.Writer) error {
 		return sweep.WriteJSONL(w, grid, sh, o.workers)
 	case "csv":
 		return sweep.WriteCSV(w, grid, sh, o.workers)
-	case "json":
-		// Legacy buffered report; sharding applies all the same, and
-		// GridSize counts this shard's points (under the cost-aware
-		// slicing Each uses) so len(results) == grid_size holds for
-		// sharded reports too.
-		var rep sweep.Report
-		rep.GridSize = len(sh.Slice(len(grid), sweep.Weights(grid)))
-		if err := sweep.Each(grid, sh, o.workers, func(r sweep.RunResult) error {
-			rep.Results = append(rep.Results, r)
-			return nil
-		}); err != nil {
-			return err
-		}
-		data, err := rep.JSON()
+	default:
+		return fmt.Errorf("unknown sweep format %q (want jsonl or csv)", o.format)
+	}
+}
+
+// runReport prints one of the paper's tables: Table I from the area
+// model, Table II with the Security Builder latency and per-zone access
+// costs measured on live platforms, or the bill of materials of the
+// -protection platform.
+func runReport(o *options, w io.Writer) error {
+	if o.doSweep || o.doAttack || o.doModelcheck {
+		return fmt.Errorf("-report runs alone (mutually exclusive with -sweep/-attack/-modelcheck)")
+	}
+	switch o.report {
+	case "table1":
+		_, err := io.WriteString(w, area.RenderTable1())
+		return err
+	case "table2":
+		text, _ := area.RenderTable2()
+		_, err := io.WriteString(w, text)
+		return err
+	case "bom":
+		prot, err := spec.ParseProtection(o.protection)
 		if err != nil {
 			return err
 		}
-		_, err = w.Write(append(data, '\n'))
+		s, err := soc.New(soc.Config{Protection: prot})
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, area.RenderReport(area.FromSystem(s)))
 		return err
 	default:
-		return fmt.Errorf("unknown sweep format %q (want jsonl, csv or json)", o.format)
+		return fmt.Errorf("unknown report %q (want table1, table2 or bom)", o.report)
 	}
 }
 

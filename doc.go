@@ -12,9 +12,15 @@
 // memory — lives in internal/core on top of from-scratch AES-128
 // (internal/aes) and a Merkle integrity engine (internal/hashtree), and the
 // evaluation is regenerated by bench_test.go (Tables I and II, Figure 1,
-// and the quantified versions of the paper's prose claims). See DESIGN.md
-// for the system inventory and EXPERIMENTS.md for paper-vs-measured
-// results.
+// and the quantified versions of the paper's prose claims). The one CLI,
+// cmd/mpsocsim, prints the same tables (internal/area renders both):
+//
+//	mpsocsim -report table1                        # Table I, area model
+//	mpsocsim -report table2                        # Table II + measured per-zone access costs
+//	mpsocsim -report bom -protection centralized   # one platform's bill of materials
+//
+// See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-vs-measured results.
 //
 // # Simulation hot path
 //
@@ -80,8 +86,9 @@
 // per-core and per-firewall snapshots as the benign sweep. Every run is a
 // twin run (soc.Pair): an identical attack-free platform executes the same
 // background load, so the background's slowdown attributes the bystander
-// cost of the attack — the generalization of the old DoS-only slowdown
-// measurement, now one unified Outcome/Record schema for every scenario:
+// cost of the attack. The same scenarios also run one-shot on a quiet
+// platform (attack.New + attack.Run), but a flood's bystander cost is
+// measured only in the twin run:
 //
 //	mpsocsim -attack -format table                 # the paper's detection matrix
 //	mpsocsim -attack -trace c.json                 # Chrome trace of every run (Perfetto)
@@ -225,7 +232,8 @@
 // logging on stderr with a canonical field set (node, job, shard,
 // attempt, backend, trace, err, detail) threaded through the job
 // lifecycle, journal replay and the coordinator; a bounded wall-clock
-// span ring exported as a cross-node Chrome trace document
+// span ring exported as a cross-node Chrome trace document, rendered by
+// internal/obs's TraceWriter like every sim trace
 // (/api/v1/jobs/{id}/hosttrace — the coordinator mints a trace ID per
 // job, propagates it via the X-Mpsoc-Trace header, and merges its own
 // spans with every healthy backend's); per-job host resource accounting

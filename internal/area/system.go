@@ -3,6 +3,12 @@ package area
 import (
 	"fmt"
 
+	"repro/internal/aes"
+	"repro/internal/bus"
+	"repro/internal/core"
+	"repro/internal/hashtree"
+	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/soc"
 	"repro/internal/trace"
 )
@@ -88,6 +94,62 @@ func RenderTable1() string {
 		add(it.Name, it.Res)
 	}
 	return tb.String()
+}
+
+// RenderTable2 regenerates Table II (firewall module latencies) followed
+// by the measured end-to-end cost of a single-word read and write to every
+// memory zone of the distributed platform — how the module latencies
+// compose in practice. The Security Builder row is measured, not quoted: a
+// write a read-only rule discards costs exactly the rule check. CC and IC
+// come from the hardware timing descriptors. sb is the measured SB
+// latency in cycles.
+func RenderTable2() (text string, sb uint64) {
+	freq := sim.DefaultFrequency
+	eng := sim.NewEngine(freq)
+	b := bus.New(eng, bus.Config{})
+	b.AddSlave(mem.NewBRAM("bram", 0x1000_0000, 0x1000))
+	lf := core.NewLocalFirewall(eng, "lf", b.NewMaster("m"),
+		core.MustConfig(core.Policy{SPI: 1, Zone: core.Zone{Base: 0x1000_0000, Size: 0x1000},
+			RWA: core.ReadOnly, ADF: core.AnyWidth}), core.NewAlertLog())
+	tx := &bus.Transaction{Op: bus.Write, Addr: 0x1000_0000, Size: 4, Burst: 1, Data: []uint32{1}}
+	done := false
+	lf.Submit(tx, func(*bus.Transaction) { done = true })
+	eng.RunUntil(func() bool { return done }, 1000)
+	sb = tx.Completed - tx.Issued
+
+	cc, ic := aes.DefaultTiming, hashtree.DefaultTiming
+	t2 := trace.NewTable("Table II — latency results of the firewalls",
+		"module", "nb. of clk cycles", "throughput (Mb/s)")
+	t2.AddRow("SB (LF/LCF)", fmt.Sprintf("%d", sb), "-")
+	t2.AddRow("CC", fmt.Sprintf("%d", cc.Latency), fmt.Sprintf("%.0f", cc.ThroughputMbps(uint64(freq))))
+	t2.AddRow("IC", fmt.Sprintf("%d", ic.Latency), fmt.Sprintf("%.0f", ic.ThroughputMbps(uint64(freq))))
+
+	zt := trace.NewTable("measured end-to-end access cost (distributed platform, probe master)",
+		"target", "read (cycles)", "write (cycles)")
+	s := soc.MustNew(soc.Config{Protection: soc.Distributed})
+	s.HaltIdleCores()
+	m := s.Bus.NewMaster("probe")
+	measure := func(op bus.Op, addr uint32) uint64 {
+		tx := &bus.Transaction{Op: op, Addr: addr, Size: 4, Burst: 1, Data: []uint32{0xDA7A}}
+		done := false
+		m.Submit(tx, func(*bus.Transaction) { done = true })
+		s.Eng.RunUntil(func() bool { return done }, 1_000_000)
+		return tx.Completed - tx.Issued
+	}
+	for _, z := range []struct {
+		name string
+		addr uint32
+	}{
+		{"bram (internal)", soc.BRAMBase},
+		{"ddr plain", soc.PlainBase},
+		{"ddr cipher (CM)", soc.CipherBase},
+		{"ddr secure (CM+IM)", soc.SecureBase},
+	} {
+		rd := measure(bus.Read, z.addr)
+		wr := measure(bus.Write, z.addr)
+		zt.AddRow(z.name, fmt.Sprintf("%d", rd), fmt.Sprintf("%d", wr))
+	}
+	return t2.String() + "\n" + zt.String(), sb
 }
 
 // RenderReport renders a bill of materials.

@@ -4,18 +4,36 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/soc"
+)
+
+// run executes the named scenario one-shot on a quiet platform.
+func run(t *testing.T, name string, p soc.Protection) attack.Outcome {
+	t.Helper()
+	sc, err := attack.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attack.Run(sc, p)
+}
+
+// detectionNames is every one-shot detection scenario: the external-memory
+// attacks, then the hijacked-IP ones (the floods are judged on bystander
+// cost, which only the campaign's twin run measures).
+var (
+	externalNames  = []string{"tamper", "replay", "relocation", "spoof"}
+	hijackNames    = []string{"zone-escape", "dma-hijack", "format-abuse"}
+	detectionNames = append(append([]string(nil), externalNames...), hijackNames...)
 )
 
 // TestExternalAttacksSucceedUnprotected keeps the threat model honest: on
 // the generic platform every external-memory attack reaches its goal and
 // nothing notices.
 func TestExternalAttacksSucceedUnprotected(t *testing.T) {
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.Tamper, attack.Replay, attack.Relocation, attack.Spoof,
-	} {
-		o := run(soc.Unprotected)
+	for _, name := range externalNames {
+		o := run(t, name, soc.Unprotected)
 		if o.Detected {
 			t.Errorf("%s: detected on unprotected platform?!", o.Scenario)
 		}
@@ -28,10 +46,8 @@ func TestExternalAttacksSucceedUnprotected(t *testing.T) {
 // TestExternalAttacksDetectedAndContainedDistributed is the paper's core
 // security claim for the LCF.
 func TestExternalAttacksDetectedAndContainedDistributed(t *testing.T) {
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.Tamper, attack.Replay, attack.Relocation, attack.Spoof,
-	} {
-		o := run(soc.Distributed)
+	for _, name := range externalNames {
+		o := run(t, name, soc.Distributed)
 		if !o.Detected {
 			t.Errorf("%s: not detected (%s)", o.Scenario, o.Notes)
 		}
@@ -42,14 +58,14 @@ func TestExternalAttacksDetectedAndContainedDistributed(t *testing.T) {
 }
 
 func TestReplayClassifiedAsReplay(t *testing.T) {
-	o := attack.Replay(soc.Distributed)
+	o := run(t, "replay", soc.Distributed)
 	if o.Violation != core.VReplay {
 		t.Errorf("replay classified as %v", o.Violation)
 	}
 }
 
 func TestTamperClassifiedAsIntegrity(t *testing.T) {
-	o := attack.Tamper(soc.Distributed)
+	o := run(t, "tamper", soc.Distributed)
 	if o.Violation != core.VIntegrity && o.Violation != core.VReplay {
 		t.Errorf("tamper classified as %v", o.Violation)
 	}
@@ -59,10 +75,8 @@ func TestTamperClassifiedAsIntegrity(t *testing.T) {
 // rules only — it has no external-memory protection, so all four attacks
 // succeed silently. This is the architectural gap the LCF fills.
 func TestCentralizedMissesExternalAttacks(t *testing.T) {
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.Tamper, attack.Replay, attack.Relocation, attack.Spoof,
-	} {
-		o := run(soc.Centralized)
+	for _, name := range externalNames {
+		o := run(t, name, soc.Centralized)
 		if o.Detected || o.Contained {
 			t.Errorf("%s: centralized baseline unexpectedly handled it (%s)", o.Scenario, o.Notes)
 		}
@@ -70,10 +84,8 @@ func TestCentralizedMissesExternalAttacks(t *testing.T) {
 }
 
 func TestHijackAttacksContainedDistributed(t *testing.T) {
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.ZoneEscape, attack.DMAHijack, attack.FormatAbuse,
-	} {
-		o := run(soc.Distributed)
+	for _, name := range hijackNames {
+		o := run(t, name, soc.Distributed)
 		if !o.Detected || !o.Contained {
 			t.Errorf("%s: detected=%v contained=%v (%s)", o.Scenario, o.Detected, o.Contained, o.Notes)
 		}
@@ -81,10 +93,8 @@ func TestHijackAttacksContainedDistributed(t *testing.T) {
 }
 
 func TestHijackAttacksSucceedUnprotected(t *testing.T) {
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.ZoneEscape, attack.DMAHijack,
-	} {
-		o := run(soc.Unprotected)
+	for _, name := range []string{"zone-escape", "dma-hijack"} {
+		o := run(t, name, soc.Unprotected)
 		if o.Detected {
 			t.Errorf("%s: phantom detection on unprotected platform", o.Scenario)
 		}
@@ -97,10 +107,8 @@ func TestHijackAttacksSucceedUnprotected(t *testing.T) {
 func TestHijackAttacksDetectedCentralized(t *testing.T) {
 	// Bus-rule attacks ARE the centralized baseline's home turf: it must
 	// catch them too (at higher cost — see the benches).
-	for _, run := range []func(soc.Protection) attack.Outcome{
-		attack.ZoneEscape, attack.DMAHijack,
-	} {
-		o := run(soc.Centralized)
+	for _, name := range []string{"zone-escape", "dma-hijack"} {
+		o := run(t, name, soc.Centralized)
 		if !o.Detected || !o.Contained {
 			t.Errorf("%s: centralized missed a bus-rule attack: detected=%v contained=%v (%s)",
 				o.Scenario, o.Detected, o.Contained, o.Notes)
@@ -112,7 +120,7 @@ func TestDetectionLatencyIsBounded(t *testing.T) {
 	// §III-C: "the system must react as fast as possible". A hijacked-IP
 	// violation must be flagged within the SB check window plus a couple
 	// of pipeline cycles, not after the transfer completed.
-	o := attack.ZoneEscape(soc.Distributed)
+	o := run(t, "zone-escape", soc.Distributed)
 	if !o.Detected {
 		t.Fatal("not detected")
 	}
@@ -121,53 +129,75 @@ func TestDetectionLatencyIsBounded(t *testing.T) {
 	}
 }
 
+// dos runs the DoS flood as a campaign twin run: the background stream on
+// the bystander cores, the flood on the last core, the slowdown measured
+// against the attack-free twin.
+func dos(t *testing.T, p soc.Protection) campaign.Record {
+	t.Helper()
+	r := campaign.RunOne(campaign.Config{Scenario: "dos-flood", Protection: p})
+	if r.Err != "" {
+		t.Fatalf("%v: %s", p, r.Err)
+	}
+	if !r.Completed || r.TwinCycles == 0 {
+		t.Fatalf("%v: background window not measured: %+v", p, r)
+	}
+	return r
+}
+
+// TestDoSContainmentDistributed: the flood is detected and dies in the
+// attacker's own interface (the bus-share bound is pinned in-package by
+// TestFloodBusShareBounds).
 func TestDoSContainmentDistributed(t *testing.T) {
-	d := attack.DoS(soc.Distributed)
+	d := dos(t, soc.Distributed)
 	if !d.Detected {
 		t.Error("flood not detected")
 	}
 	if !d.Contained {
-		t.Errorf("victim slowed %.2fx by a flood the firewall should absorb (%s)", d.Slowdown(), d.Notes)
-	}
-	if d.FloodBusShare > 0.01 {
-		t.Errorf("flood reached the bus: %.1f%% of transactions", d.FloodBusShare*100)
+		t.Errorf("bystanders slowed %.2fx by a flood the firewall should absorb (%s)", d.Slowdown, d.Goal)
 	}
 }
 
 func TestDoSHurtsUnprotected(t *testing.T) {
-	d := attack.DoS(soc.Unprotected)
-	if d.Slowdown() < 1.5 {
-		t.Errorf("flood barely hurt the unprotected victim (%.2fx) — scenario broken", d.Slowdown())
+	d := dos(t, soc.Unprotected)
+	if d.Slowdown < 1.5 {
+		t.Errorf("flood barely hurt the unprotected bystanders (%.2fx) — scenario broken", d.Slowdown)
 	}
-	if d.FloodBusShare < 0.3 {
-		t.Errorf("flood bus share only %.1f%%", d.FloodBusShare*100)
+	if d.Contained {
+		t.Errorf("unprotected flood contained?! (%s)", d.Goal)
 	}
 }
 
 func TestDoSHurtsCentralizedMore(t *testing.T) {
 	// The SEM serializes every check, so a flood congests *everyone*.
-	cent := attack.DoS(soc.Centralized)
-	dist := attack.DoS(soc.Distributed)
-	if cent.Slowdown() <= dist.Slowdown() {
+	cent, dist := dos(t, soc.Centralized), dos(t, soc.Distributed)
+	if cent.Slowdown <= dist.Slowdown {
 		t.Errorf("centralized slowdown %.2fx not worse than distributed %.2fx",
-			cent.Slowdown(), dist.Slowdown())
+			cent.Slowdown, dist.Slowdown)
 	}
 }
 
+// TestAllRunsEveryScenario: every registered scenario builds, runs
+// one-shot and reports under its own name.
 func TestAllRunsEveryScenario(t *testing.T) {
-	outs := attack.All(soc.Distributed)
-	if len(outs) != 7 {
-		t.Fatalf("All returned %d scenarios, want 7", len(outs))
-	}
 	seen := map[string]bool{}
-	for _, o := range outs {
+	for _, name := range attack.Names() {
+		o := run(t, name, soc.Distributed)
+		if o.Scenario != name {
+			t.Errorf("scenario %s reported as %q", name, o.Scenario)
+		}
 		if seen[o.Scenario] {
 			t.Errorf("duplicate scenario %s", o.Scenario)
 		}
 		seen[o.Scenario] = true
-		if o.Scenario == "" || o.String() == "" {
+		if o.String() == "" {
 			t.Error("empty scenario metadata")
 		}
+	}
+	if len(seen) != len(attack.Names()) {
+		t.Fatalf("ran %d scenarios, want %d", len(seen), len(attack.Names()))
+	}
+	if _, err := attack.New("no-such-attack"); err == nil {
+		t.Fatal("unknown scenario accepted")
 	}
 }
 
@@ -176,7 +206,7 @@ func TestAllRunsEveryScenario(t *testing.T) {
 // corruption-DoS — on every architecture, including the distributed one.
 func TestCipherOnlyZoneVulnerableByDesign(t *testing.T) {
 	for _, p := range []soc.Protection{soc.Unprotected, soc.Distributed} {
-		o := attack.CipherOnlyTamper(p)
+		o := run(t, "cipher-only-tamper", p)
 		if o.Detected {
 			t.Errorf("%v: cipher-only tamper detected?! (%s)", p, o.Notes)
 		}

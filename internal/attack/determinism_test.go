@@ -1,40 +1,37 @@
 package attack_test
 
 import (
+	"reflect"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/soc"
 )
 
-// TestCampaignDeterministic: the entire attack campaign is bit-identical
-// across runs — the property every reported number in EXPERIMENTS.md
-// rests on.
+// TestCampaignDeterministic: every one-shot detection scenario yields an
+// identical Outcome across runs — the property every reported number in
+// EXPERIMENTS.md rests on.
 func TestCampaignDeterministic(t *testing.T) {
-	run := func() []attack.Outcome { return attack.All(soc.Distributed) }
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("campaign lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scenario %s diverged:\n  %+v\n  %+v", a[i].Scenario, a[i], b[i])
+	for _, name := range detectionNames {
+		a, b := run(t, name, soc.Distributed), run(t, name, soc.Distributed)
+		if a != b {
+			t.Fatalf("scenario %s diverged:\n  %+v\n  %+v", name, a, b)
 		}
 	}
 }
 
+// TestDoSDeterministic: the flood's twin-run record is identical across
+// runs, slowdown and bus-share notes included.
 func TestDoSDeterministic(t *testing.T) {
-	a, b := attack.DoS(soc.Unprotected), attack.DoS(soc.Unprotected)
-	if a.VictimCycles != b.VictimCycles || a.BaselineCycles != b.BaselineCycles {
-		t.Fatalf("DoS non-deterministic: %d/%d vs %d/%d",
-			a.VictimCycles, a.BaselineCycles, b.VictimCycles, b.BaselineCycles)
+	a, b := dos(t, soc.Unprotected), dos(t, soc.Unprotected)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("DoS non-deterministic:\n  %+v\n  %+v", a, b)
 	}
 }
 
 // TestOutcomesCarryProtectionLabel guards the reporting path.
 func TestOutcomesCarryProtectionLabel(t *testing.T) {
-	for _, o := range attack.All(soc.Centralized) {
-		if o.Protection != soc.Centralized {
+	for _, name := range detectionNames {
+		if o := run(t, name, soc.Centralized); o.Protection != soc.Centralized {
 			t.Fatalf("%s labeled %v", o.Scenario, o.Protection)
 		}
 	}

@@ -105,14 +105,6 @@ func New(name string) (Scenario, error) {
 	}
 }
 
-func mustNew(name string) Scenario {
-	sc, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return sc
-}
-
 // runBudget bounds the attacker-program window of the quiet one-shot Run
 // and the drains scenarios perform in Verify.
 const runBudget = 2_000_000
@@ -450,8 +442,7 @@ func (*formatAbuseScenario) Verify(s *soc.System, _ float64) Verdict {
 // distributed firewalls the flood dies in the core's own interface;
 // without them it competes with every bystander for the shared bus. The
 // goal is denial of service, so the verdict is judged on the background
-// traffic's slowdown versus the attack-free twin — the generalization of
-// the old DoSOutcome.Slowdown measurement.
+// traffic's slowdown versus the attack-free twin.
 type dosScenario struct{}
 
 // DoSSlowdownGoal is the bystander slowdown at which a flood counts as
@@ -509,8 +500,7 @@ const (
 	burstLegalPer = 10 // authorized stores per iteration (the bus load)
 	burstTail     = 32 // benign stores after the attack ends
 	// burstLegalAddr is shared BRAM the core's policy allows, clear of the
-	// scratch words other scenarios probe (dma-hijack checks word 0, the
-	// legacy DoS victim streams the first 2 KiB) and of the campaign's
+	// scratch word dma-hijack checks (word 0) and of the campaign's
 	// background slices (BRAMBase+0x4000 up).
 	burstLegalAddr = soc.BRAMBase + 0x3800
 )

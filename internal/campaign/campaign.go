@@ -12,9 +12,8 @@
 // Every run is really a twin run (soc.Pair): the attacked platform and an
 // attack-free twin execute identically — same setup, same background
 // kernels, same cycle count at injection time — so the background
-// traffic's slowdown attributes the bystander cost of the attack (the
-// generalization of the old ad-hoc DoS slowdown measurement) to the attack
-// alone. Records are deterministic, so campaign streams are byte-identical
+// traffic's slowdown attributes the bystander cost of the attack to the
+// attack alone. Records are deterministic, so campaign streams are byte-identical
 // across worker counts and across -shard i/n + sweep.Merge, exactly like
 // benign sweeps.
 package campaign
@@ -243,8 +242,8 @@ type Record struct {
 }
 
 // Background kernels run in a per-core slice of shared BRAM well clear of
-// the scratch addresses the scenarios probe (dma-hijack checks BRAM word
-// 0; the legacy DoS victim streams the first 2 KiB). External-memory
+// the scratch addresses the scenarios use (dma-hijack checks BRAM word 0,
+// burst-flood stores at BRAMBase+0x3800). External-memory
 // backgrounds get per-core slices of the DDR's protected zones instead,
 // above the first leaves the memory-attack scenarios target
 // (tamper/replay/relocate/spoof probe SecureBase+0x40..0x400, the cipher

@@ -208,6 +208,13 @@ func TestWriteChromeShape(t *testing.T) {
 	if err := WriteChrome(&buf, "t-1", nodes); err != nil {
 		t.Fatal(err)
 	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "hosttrace.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("fleet trace drifted from testdata/hosttrace.golden.json:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), golden)
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string            `json:"name"`

@@ -1,10 +1,10 @@
 package hostobs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // Span is one completed wall-clock interval on a node (a dispatch, a
@@ -83,23 +83,12 @@ type NodeSpans struct {
 	Spans []Span `json:"spans"`
 }
 
-// chromeEvent mirrors internal/obs's trace_event encoding so host
-// traces and sim traces open identically in Perfetto / chrome://tracing.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   uint64            `json:"ts"`
-	Dur  uint64            `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
 // WriteChrome renders a fleet's spans as one Chrome trace_event JSON
-// document: one "process" per node, one "thread" per span name (in
-// first-emission order), timestamps normalized so the earliest span
-// starts at ts 0. The envelope matches internal/obs's TraceWriter.
+// document through internal/obs's TraceWriter, so host traces and sim
+// traces open identically in Perfetto / chrome://tracing: one "process"
+// per node, one "thread" per span name (in first-emission order),
+// timestamps in microseconds normalized so the earliest span starts at
+// ts 0.
 func WriteChrome(w io.Writer, trace string, nodes []NodeSpans) error {
 	var t0 int64
 	first := true
@@ -113,49 +102,10 @@ func WriteChrome(w io.Writer, trace string, nodes []NodeSpans) error {
 			total++
 		}
 	}
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	wrote := false
-	emit := func(e chromeEvent) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		sep := "\n"
-		if wrote {
-			sep = ",\n"
-		}
-		wrote = true
-		if _, err := io.WriteString(w, sep); err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
-	}
+	tw := obs.NewTraceWriter(w)
 	for i, n := range nodes {
-		pid := i + 1
-		if err := emit(chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]string{"name": n.Node},
-		}); err != nil {
-			return err
-		}
-		tids := make(map[string]int, 8)
-		for _, sp := range n.Spans {
-			if _, ok := tids[sp.Name]; ok {
-				continue
-			}
-			tid := len(tids)
-			tids[sp.Name] = tid
-			if err := emit(chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": sp.Name},
-			}); err != nil {
-				return err
-			}
-		}
-		for _, sp := range n.Spans {
+		spans := make([]obs.Span, len(n.Spans))
+		for k, sp := range n.Spans {
 			args := make(map[string]string, 6)
 			if sp.Job != "" {
 				args["job"] = sp.Job
@@ -175,20 +125,19 @@ func WriteChrome(w io.Writer, trace string, nodes []NodeSpans) error {
 			if sp.Detail != "" {
 				args["detail"] = sp.Detail
 			}
-			if err := emit(chromeEvent{
+			spans[k] = obs.Span{
 				Name: sp.Name,
-				Ph:   "X",
 				Ts:   uint64(sp.StartNanos-t0) / 1000,
 				Dur:  uint64(sp.DurNanos) / 1000,
-				Pid:  pid,
-				Tid:  tids[sp.Name],
 				Args: args,
-			}); err != nil {
-				return err
 			}
 		}
+		if err := tw.Spans(i+1, n.Node, spans); err != nil {
+			return err
+		}
 	}
-	_, err := fmt.Fprintf(w, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"wall-us\",\"nodes\":\"%d\",\"spans\":\"%d\",\"trace\":%q}}\n",
-		len(nodes), total, trace)
-	return err
+	return tw.CloseWith("wall-us",
+		obs.Field{Key: "nodes", Value: strconv.Itoa(len(nodes))},
+		obs.Field{Key: "spans", Value: strconv.Itoa(total)},
+		obs.Field{Key: "trace", Value: trace})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // TraceWriter streams one Chrome trace_event JSON document (the "JSON
@@ -84,29 +85,10 @@ func (tw *TraceWriter) Process(pid int, name string, t *Tracer) error {
 	}
 	tw.emitted += t.Emitted()
 	tw.dropped += t.Dropped()
-	tw.writeEvent(chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]string{"name": name},
-	})
-	// Tids are assigned in first-emission order, which is deterministic
-	// because the event buffer is. The map is lookup-only (no iteration).
-	tids := make(map[string]int, 8)
 	events := t.Events()
-	for i := range events {
-		track := events[i].Track
-		if _, ok := tids[track]; ok {
-			continue
-		}
-		tid := len(tids)
-		tids[track] = tid
-		tw.writeEvent(chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]string{"name": track},
-		})
-	}
-	for i := range events {
+	tw.process(pid, name, len(events), func(i int) string { return events[i].Track }, func(i int) chromeEvent {
 		e := &events[i]
-		ce := chromeEvent{Name: e.Name, Ts: e.Cycle, Pid: pid, Tid: tids[e.Track]}
+		ce := chromeEvent{Name: e.Name, Ts: e.Cycle}
 		switch e.Kind {
 		case KindIncident:
 			ce.Ph, ce.Dur = "X", e.Dur
@@ -123,17 +105,88 @@ func (tw *TraceWriter) Process(pid int, name string, t *Tracer) error {
 				ce.Args["detail"] = e.Arg
 			}
 		}
-		tw.writeEvent(ce)
-	}
+		return ce
+	})
 	return tw.err
 }
 
-// Close ends the document, recording the clock domain and the
+// Span is one complete ("X") event, for processes whose events come from
+// somewhere other than a sim Tracer (the host layer's wall-clock spans).
+// Ts and Dur are in the document's clock unit.
+type Span struct {
+	Name string
+	Ts   uint64
+	Dur  uint64
+	Args map[string]string
+}
+
+// Spans appends spans as process pid, laid out exactly like Process:
+// process and thread metadata first, one thread per span name in
+// first-emission order, then the events in slice order.
+func (tw *TraceWriter) Spans(pid int, name string, spans []Span) error {
+	tw.process(pid, name, len(spans), func(i int) string { return spans[i].Name }, func(i int) chromeEvent {
+		sp := &spans[i]
+		return chromeEvent{Name: sp.Name, Ph: "X", Ts: sp.Ts, Dur: sp.Dur, Args: sp.Args}
+	})
+	return tw.err
+}
+
+// process writes one process of n events: the process_name metadata, a
+// thread_name per distinct track(i) — tids assigned in first-emission
+// order, which is deterministic whenever the event order is; the map is
+// lookup-only — then event(i) for each event with pid and tid filled in.
+func (tw *TraceWriter) process(pid int, name string, n int, track func(int) string, event func(int) chromeEvent) {
+	tw.writeEvent(chromeEvent{
+		Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]string{"name": name},
+	})
+	tids := make(map[string]int, 8)
+	for i := 0; i < n; i++ {
+		tr := track(i)
+		if _, ok := tids[tr]; ok {
+			continue
+		}
+		tid := len(tids)
+		tids[tr] = tid
+		tw.writeEvent(chromeEvent{
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]string{"name": tr},
+		})
+	}
+	for i := 0; i < n; i++ {
+		ce := event(i)
+		ce.Pid, ce.Tid = pid, tids[track(i)]
+		tw.writeEvent(ce)
+	}
+}
+
+// Field is one otherData member of the closing envelope; Value is
+// rendered as JSON.
+type Field struct {
+	Key   string
+	Value any
+}
+
+// Close ends a sim-trace document, recording the clock domain and the
 // emitted/dropped totals across every process.
 func (tw *TraceWriter) Close() error {
-	tw.writeString(fmt.Sprintf(
-		"\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim-cycles\",\"emitted\":%d,\"dropped\":%d}}\n",
-		tw.emitted, tw.dropped))
+	return tw.CloseWith("sim-cycles", Field{"emitted", tw.emitted}, Field{"dropped", tw.dropped})
+}
+
+// CloseWith ends the document with otherData {"clock": clock, other...},
+// members in the order given.
+func (tw *TraceWriter) CloseWith(clock string, other ...Field) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":%q", clock)
+	for _, f := range other {
+		v, err := json.Marshal(f.Value)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, ",%q:%s", f.Key, v)
+	}
+	b.WriteString("}}\n")
+	tw.writeString(b.String())
 	return tw.err
 }
 

@@ -367,6 +367,41 @@ func TestPublishLockedDrops(t *testing.T) {
 	}
 }
 
+// TestFinishDeliversTerminalEventsToFullSubscriber: a subscriber whose
+// channel is already full when the job ends still receives the terminal
+// snapshot and state, in that order, before the channel closes; the
+// evicted backlog is counted as dropped.
+func TestFinishDeliversTerminalEventsToFullSubscriber(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j := &Job{id: "job-test", state: StateRunning, spec: &spec.Spec{Kind: spec.KindSweep}}
+	sub := &subscriber{id: 1, ch: make(chan sseMsg, sseBuf)}
+	j.subs = append(j.subs, sub)
+	j.mu.Lock()
+	for i := 0; i < sseBuf; i++ {
+		s.publishLocked(j, "snapshot", []byte("stale"))
+	}
+	j.mu.Unlock()
+
+	s.finish(j, context.Background(), nil)
+
+	var got []sseMsg
+	for m := range sub.ch {
+		got = append(got, m)
+	}
+	if len(got) < 2 {
+		t.Fatalf("received %d messages, want the terminal pair", len(got))
+	}
+	if last, prev := got[len(got)-1], got[len(got)-2]; last.event != "state" || prev.event != "snapshot" ||
+		!strings.Contains(string(last.data), `"state":"done"`) {
+		t.Fatalf("stream ends with %s %s / %s %s, want the terminal snapshot then state done",
+			prev.event, prev.data, last.event, last.data)
+	}
+	if d := s.sseDropped.Load(); d != 2 {
+		t.Fatalf("sseDropped = %d, want the 2 evicted stale messages", d)
+	}
+}
+
 // TestSlowEventsSubscriberDoesNotStallJob leaves an /events subscriber
 // completely unread while a job streams to completion under a 1-record
 // snapshot cadence; the job must finish regardless.

@@ -876,8 +876,20 @@ func (s *Server) finish(j *Job, ctx context.Context, err error) {
 	}
 	// Terminal fan-out: the final aggregate snapshot, the terminal state,
 	// then close every subscriber channel so /events handlers end their
-	// streams. Later subscribers get an immediate replay instead.
+	// streams. Later subscribers get an immediate replay instead. A
+	// lagging subscriber loses its oldest queued messages rather than the
+	// terminal pair: every send happens under j.mu, so the room made here
+	// is still free when the two publishes below run.
 	if len(j.subs) > 0 {
+		for _, sub := range j.subs {
+			for len(sub.ch) > 0 && cap(sub.ch)-len(sub.ch) < 2 {
+				select {
+				case <-sub.ch:
+					s.sseDropped.Add(1)
+				default:
+				}
+			}
+		}
 		s.publishLocked(j, "snapshot", mustJSON(j.aggregatesLocked()))
 		s.publishLocked(j, "state", mustJSON(j.statusLocked()))
 		for _, sub := range j.subs {

@@ -8,8 +8,8 @@
 // without synchronization beyond the job queue. Completed runs pass through
 // an index-ordered reorder buffer before they reach the consumer, which
 // makes every output stream independent of goroutine scheduling: two sweeps
-// over the same grid produce byte-identical JSONL/CSV/JSON regardless of
-// worker count.
+// over the same grid produce byte-identical JSONL/CSV regardless of worker
+// count.
 //
 // Grids also shard deterministically across processes: Shard{i, n} selects
 // every n-th grid point starting at i, each shard's stream carries global
@@ -19,7 +19,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -128,19 +127,6 @@ type RunResult struct {
 	Firewalls []core.Snapshot `json:"firewalls,omitempty"`
 
 	Err string `json:"error,omitempty"`
-}
-
-// Report is a completed, fully buffered sweep (the legacy JSON form; the
-// streaming formats in stream.go avoid holding the whole grid in memory).
-type Report struct {
-	GridSize int         `json:"grid_size"`
-	Results  []RunResult `json:"results"`
-}
-
-// JSON renders the report with stable formatting: byte-identical for
-// identical sweeps.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Grid builds the cross product of the given axes in deterministic order
@@ -273,19 +259,6 @@ func EachContext(ctx context.Context, cfgs []Config, sh Shard, workers int, emit
 		r.Index = i
 		return r
 	}, emit)
-}
-
-// Run executes every config and returns the fully buffered report in grid
-// order (the legacy form; prefer the streaming writers for large grids).
-func Run(cfgs []Config, workers int) Report {
-	rep := Report{GridSize: len(cfgs), Results: make([]RunResult, 0, len(cfgs))}
-	// The whole-grid shard never fails validation and this emit never
-	// errors.
-	_ = Each(cfgs, Shard{}, workers, func(r RunResult) error {
-		rep.Results = append(rep.Results, r)
-		return nil
-	})
-	return rep
 }
 
 // RunOne builds and runs a single grid point. The caller owns Index; RunOne

