@@ -194,7 +194,7 @@ attack:
 # microbenchmarks ride along from internal/hashtree).
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineThroughput|BenchmarkSecureMemoryThroughput' \
+		-bench 'BenchmarkEngineThroughput|BenchmarkEngineStalledOffchip|BenchmarkSecureMemoryThroughput' \
 		-benchtime=100x -benchmem .
 	$(GO) test -run '^$$' -bench . -benchtime=100x -benchmem ./internal/hashtree
 
@@ -217,7 +217,7 @@ bench-json:
 	@mkdir -p $(BUILD)
 	$(GO) build -o $(BUILD)/benchjson ./tools/benchjson
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineThroughput|BenchmarkSecureMemoryThroughput' \
+		-bench 'BenchmarkEngineThroughput|BenchmarkEngineStalledOffchip|BenchmarkSecureMemoryThroughput' \
 		-benchtime=3000x -count=3 -benchmem . > $(BUILD)/bench.txt
 	$(GO) test -run '^$$' -bench . -benchtime=3000x -count=3 -benchmem \
 		./internal/aes ./internal/hashtree ./internal/core >> $(BUILD)/bench.txt

@@ -12,6 +12,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/hashtree"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -344,6 +345,33 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.Eng.Run(1000)
+	}
+	b.ReportMetric(float64(b.N*1000)/b.Elapsed().Seconds(), "sim-cycles/s")
+}
+
+// BenchmarkEngineStalledOffchip measures simulator speed where cores stall
+// almost every cycle: 8 cores on the distributed platform, each running
+// the secure-scrub kernel through the LCF's CM+IM zone, so the bus is held
+// for whole crypto and hash-tree latencies. Kernels that finish are
+// reloaded outside the timer so every op simulates the same regime.
+func BenchmarkEngineStalledOffchip(b *testing.B) {
+	const cores, words = 8, 256
+	s := soc.MustNew(soc.Config{Protection: soc.Distributed, NumCores: cores})
+	progs := make([]*isa.Program, cores)
+	for i := range progs {
+		progs[i] = isa.MustAssemble(workload.Scrub(soc.SecureBase+0x1000+uint32(i*words*4), words, 4), soc.LocalBase)
+		s.LoadProgram(i, progs[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.AllHalted() {
+			b.StopTimer()
+			for c, p := range progs {
+				s.LoadProgram(c, p)
+			}
+			b.StartTimer()
+		}
 		s.Eng.Run(1000)
 	}
 	b.ReportMetric(float64(b.N*1000)/b.Elapsed().Seconds(), "sim-cycles/s")

@@ -20,6 +20,7 @@
 //	mpsocsim -report table1                    # the paper's Table I (area model)
 //	mpsocsim -report table2                    # Table II (firewall latencies) + measured per-zone access costs
 //	mpsocsim -report bom -protection centralized # bill of materials of one platform
+//	mpsocsim -attack -cpuprofile cpu.prof     # any mode, with a pprof CPU profile of the run
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/area"
@@ -96,6 +98,8 @@ type options struct {
 
 	traceFile  string
 	traceLimit int
+
+	cpuProfile string
 
 	version bool
 }
@@ -185,6 +189,8 @@ func parseFlags(args []string) (*options, error) {
 		"write a Chrome trace_event JSON incident trace (Perfetto/chrome://tracing) to this file; single runs and -attack JSONL campaigns, timestamps in sim cycles")
 	fs.IntVar(&o.traceLimit, "trace-limit", obs.DefaultLimit,
 		"trace: events retained per run before counting drops")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "",
+		"write a pprof CPU profile of the whole run to this file (read with go tool pprof)")
 	fs.BoolVar(&o.version, "version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -214,53 +220,75 @@ func main() {
 		fmt.Println("mpsocsim", hostobs.Build().String())
 		return
 	}
+	stop, err := startCPUProfile(o.cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
+	err = run(o)
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// startCPUProfile starts a CPU profile written to path (nothing when path
+// is empty) and returns the function that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// run executes the mode the options select.
+func run(o *options) error {
 	if o.specFile != "" {
 		if err := o.loadSpec(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if o.dumpSpec {
-		if err := runDumpSpec(o); err != nil {
-			fatal(err)
-		}
-		return
+		return runDumpSpec(o)
 	}
 	if o.traceFile != "" {
 		if o.traceLimit < 1 {
-			fatal(fmt.Errorf("-trace-limit must be >= 1 with -trace (got %d)", o.traceLimit))
+			return fmt.Errorf("-trace-limit must be >= 1 with -trace (got %d)", o.traceLimit)
 		}
 		if o.doSweep {
-			fatal(fmt.Errorf("-trace applies to single runs and -attack campaigns, not -sweep"))
+			return fmt.Errorf("-trace applies to single runs and -attack campaigns, not -sweep")
 		}
 		if o.doModelcheck {
-			fatal(fmt.Errorf("-trace does not apply to -modelcheck"))
+			return fmt.Errorf("-trace does not apply to -modelcheck")
 		}
 	}
 	switch {
 	case o.report != "":
-		if err := runReport(o, os.Stdout); err != nil {
-			fatal(err)
-		}
+		return runReport(o, os.Stdout)
 	case o.doSweep && o.doAttack:
-		fatal(fmt.Errorf("-sweep and -attack are mutually exclusive"))
+		return fmt.Errorf("-sweep and -attack are mutually exclusive")
 	case o.doModelcheck && (o.doSweep || o.doAttack):
-		fatal(fmt.Errorf("-modelcheck runs alone (mutually exclusive with -sweep/-attack)"))
+		return fmt.Errorf("-modelcheck runs alone (mutually exclusive with -sweep/-attack)")
 	case o.doModelcheck:
-		if err := runModelcheck(os.Stdout); err != nil {
-			fatal(err)
-		}
+		return runModelcheck(os.Stdout)
 	case o.doAttack:
-		if err := withOutput(o, runAttack); err != nil {
-			fatal(err)
-		}
+		return withOutput(o, runAttack)
 	case o.doSweep:
-		if err := withOutput(o, runSweep); err != nil {
-			fatal(err)
-		}
+		return withOutput(o, runSweep)
 	default:
-		if err := runSingle(o); err != nil {
-			fatal(err)
-		}
+		return runSingle(o)
 	}
 }
 

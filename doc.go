@@ -35,6 +35,19 @@
 // allocations per cycle; BenchmarkEngineThroughput -benchmem tracks both
 // the cycle rate and the allocation count.
 //
+// Cores, the bus and the DMA engine also implement sim.Idler: each
+// reports the earliest cycle at which its Tick could do more than count
+// (a core stalled on the bus or halted only wakes on an event; a paused
+// core or a busy bus with requests queued wakes at a known cycle) and
+// books skipped cycles in bulk through Skip. While every ticker is idle
+// and no event is due, Run and RunUntil jump the clock to the next wake
+// cycle, event or run limit in one step, so off-chip campaigns — where
+// cores wait out the LCF's crypto and hash-tree latency on almost every
+// cycle — stop paying host time for simulated waiting, with every cycle,
+// stall and record byte unchanged. RunUntil conditions must therefore
+// read model state (halted cores, flags set by callbacks), never the
+// clock. BenchmarkEngineStalledOffchip tracks that regime.
+//
 // # Host speed vs simulated cycles
 //
 // Two clocks run through this codebase and they never mix. Simulated time

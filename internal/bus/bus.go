@@ -2,6 +2,7 @@ package bus
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -242,6 +243,20 @@ func (b *Bus) Tick(now uint64) {
 	b.stats.PerMaster[m.index]++
 	b.complete(tx, total)
 }
+
+// IdleUntil implements sim.Idler: with nothing queued only a Submit (from
+// an event or an active ticker) can wake the bus; with requests queued it
+// grants again once the current transaction releases it.
+func (b *Bus) IdleUntil(now uint64) uint64 {
+	if b.waiting == 0 {
+		return math.MaxUint64
+	}
+	return max(now, b.busyUntil)
+}
+
+// Skip implements sim.Idler. Busy and wait cycles are booked at grant, so
+// idle cycles cost nothing.
+func (b *Bus) Skip(uint64) {}
 
 // pick selects the next master with pending work according to the
 // arbitration policy.

@@ -15,6 +15,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bus"
 	"repro/internal/isa"
@@ -239,6 +240,32 @@ func (c *Core) HaltCycle() (uint64, bool) { return c.haltCycle, c.halted }
 
 func (c *Core) isLocal(addr uint32, n uint32) bool {
 	return c.local.InRange(addr, n)
+}
+
+// IdleUntil implements sim.Idler. A halted or bus-stalled core only
+// wakes on an event (a Load, a bus completion); a core burning local-memory
+// pause cycles executes again once the pause runs out.
+func (c *Core) IdleUntil(now uint64) uint64 {
+	switch {
+	case c.halted, c.waitBus:
+		return math.MaxUint64
+	case c.pause > 0:
+		return now + c.pause
+	}
+	return now
+}
+
+// Skip implements sim.Idler: book n idle cycles exactly as Tick would.
+func (c *Core) Skip(n uint64) {
+	switch {
+	case c.halted:
+	case c.waitBus:
+		c.stats.Cycles += n
+		c.stats.StallCycles += n
+	default:
+		c.stats.Cycles += n
+		c.pause -= n
+	}
 }
 
 // Tick implements sim.Ticker: execute at most one instruction per cycle.

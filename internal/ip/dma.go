@@ -8,6 +8,7 @@ package ip
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bus"
 	"repro/internal/sim"
@@ -165,6 +166,19 @@ func (d *DMA) Tick(now uint64) {
 	d.pending = true
 	d.conn.Submit(rd, d.onRead)
 }
+
+// IdleUntil implements sim.Idler: an idle engine or one waiting on its
+// outstanding transaction only wakes on an event (a register write, a bus
+// completion).
+func (d *DMA) IdleUntil(now uint64) uint64 {
+	if !d.Busy() || d.pending {
+		return math.MaxUint64
+	}
+	return now
+}
+
+// Skip implements sim.Idler; the engine keeps no per-cycle counters.
+func (d *DMA) Skip(uint64) {}
 
 // readDone turns a fetched chunk around into the write half of the copy.
 func (d *DMA) readDone(rdDone *bus.Transaction) {

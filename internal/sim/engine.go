@@ -3,9 +3,9 @@
 //
 // The engine advances a global cycle counter. Work is expressed two ways:
 //
-//   - Tickers: components registered with AddTicker are called exactly once
-//     per cycle, in registration order. This models always-on synchronous
-//     logic (CPU cores, bus arbiters).
+//   - Tickers: components registered with AddTicker model always-on
+//     synchronous logic (CPU cores, bus arbiters). Step calls every ticker
+//     once per cycle, in registration order.
 //   - Events: one-shot callbacks scheduled at an absolute or relative cycle.
 //     Events scheduled for the same cycle fire in scheduling order, giving
 //     bit-identical runs for identical inputs.
@@ -15,6 +15,26 @@
 // current cycle run before the cycle ends (after all tickers), so a
 // component may hand work to another component with zero-cycle latency when
 // modeling combinational paths.
+//
+// # Idle skipping
+//
+// A ticker that also implements Idler tells the engine how long its Tick
+// would only count: IdleUntil(now) is the earliest cycle at which Tick may
+// do more, and Skip(n) books n such cycles in bulk (a stalled core adds n
+// to its cycle and stall counters). When every ticker is an Idler and no
+// event is due, Run and RunUntil jump the clock straight to the earliest of
+// the idlers' wake cycles, the next pending event and the run's own limit,
+// calling Skip on each ticker instead of stepping. Nothing in the model
+// can change during such a span — no event fires and every Tick would only
+// count — so counters, event cycles and results are identical to stepping
+// cycle by cycle. An engine with no tickers, or with any ticker that is
+// not an Idler (such as a TickFunc), steps every cycle. Step and Drain
+// always advance exactly one cycle per step.
+//
+// Because skipped cycles evaluate nothing, RunUntil's cond must depend on
+// model state (flags set by callbacks, halted cores), never on Now(): a
+// cond that becomes true at a given cycle while the model is idle would be
+// passed over.
 //
 // # Event queue implementation
 //
@@ -26,7 +46,8 @@
 // their capacity across cycles, so steady-state Schedule/fire does zero
 // heap allocations. ScheduleArg additionally lets hot callers pass a
 // pre-bound callback plus a pointer argument instead of allocating a fresh
-// closure per event.
+// closure per event. An occupancy bitmap over the ring marks non-empty
+// buckets, so idle skipping finds the next ring event in a few word scans.
 //
 // Determinism contract: same-cycle events fire in schedule order, across
 // the ring/heap boundary too. An event for cycle X only lands in the far
@@ -41,13 +62,27 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Ticker is synchronous logic evaluated once per cycle.
 type Ticker interface {
-	// Tick is called exactly once per simulated cycle with the current
-	// cycle number.
+	// Tick is called with the current cycle number for every cycle the
+	// engine steps; cycles skipped while idle are booked through Idler.
 	Tick(now uint64)
+}
+
+// Idler is the optional half of a Ticker that lets the engine skip cycles
+// in which the component's Tick would only count.
+type Idler interface {
+	// IdleUntil returns the earliest cycle at which Tick may do more than
+	// count, given that no event fires before it. A value <= now means
+	// the component is active now; math.MaxUint64 means only an event can
+	// wake it.
+	IdleUntil(now uint64) uint64
+	// Skip accounts n skipped cycles in bulk, exactly as n calls to Tick
+	// in the idle span would have.
+	Skip(n uint64)
 }
 
 // TickFunc adapts a plain function to the Ticker interface.
@@ -59,6 +94,16 @@ func (f TickFunc) Tick(now uint64) { f(now) }
 // ringWindow is the calendar-queue near-future window in cycles. Must be a
 // power of two. Events at least this far ahead overflow into the far heap.
 const ringWindow = 1024
+
+// occWords is the size of the ring-occupancy bitmap in 64-bit words.
+const occWords = ringWindow / 64
+
+// ticker is one registered Ticker together with its Idler half (nil when
+// the ticker cannot be skipped).
+type ticker struct {
+	t    Ticker
+	idle Idler
+}
 
 // event is one scheduled callback: either a plain closure (fn) or a
 // pre-bound callback with its argument (afn, arg) for allocation-free
@@ -89,15 +134,25 @@ type farEvent struct {
 type Engine struct {
 	now     uint64
 	seq     uint64
-	tickers []Ticker
+	tickers []ticker
+	// plain counts tickers that are not Idlers; any one of them pins
+	// the engine to stepping every cycle. hot is the ticker that last
+	// reported itself active: the idle check asks it first, because an
+	// active component usually stays active for several cycles.
+	plain int
+	hot   int
 
 	// Calendar queue: ring[c & (ringWindow-1)] buckets events due at
 	// cycle c within the near window; far holds everything else as a
 	// binary min-heap on (cycle, seq). fireIdx is the firing cursor into
 	// the current cycle's bucket (events appended mid-fire are seen
 	// because the loop re-reads the bucket length). pending counts all
-	// scheduled, not-yet-fired events across both structures.
+	// scheduled, not-yet-fired events across both structures. Bit i of
+	// occ is set whenever ring[i] is non-empty; a set bit over an empty
+	// bucket is stale and cleared by the next-event scan, which keeps
+	// the bitmap off the per-cycle path.
 	ring    [ringWindow][]event
+	occ     [occWords]uint64
 	fireIdx int
 	far     []farEvent
 	pending int
@@ -123,12 +178,18 @@ func (e *Engine) Now() uint64 { return e.now }
 func (e *Engine) Frequency() Frequency { return e.freq }
 
 // AddTicker registers t to be ticked once per cycle. Tickers run in
-// registration order after all events due in the cycle have fired.
+// registration order after all events due in the cycle have fired. A
+// ticker that also implements Idler lets Run and RunUntil skip cycles in
+// which it is idle (see the package comment).
 func (e *Engine) AddTicker(t Ticker) {
 	if t == nil {
 		panic("sim: AddTicker(nil)")
 	}
-	e.tickers = append(e.tickers, t)
+	idle, _ := t.(Idler)
+	if idle == nil {
+		e.plain++
+	}
+	e.tickers = append(e.tickers, ticker{t: t, idle: idle})
 }
 
 // Schedule runs fn after delay cycles (delay 0 means later in the current
@@ -168,6 +229,7 @@ func (e *Engine) scheduleEvent(cycle uint64, ev event) {
 	if cycle < e.now+ringWindow {
 		i := cycle & (ringWindow - 1)
 		e.ring[i] = append(e.ring[i], ev)
+		e.occ[i/64] |= 1 << (i % 64)
 		return
 	}
 	e.seq++
@@ -186,7 +248,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Step() {
 	e.fireDue()
 	for _, t := range e.tickers {
-		t.Tick(e.now)
+		t.t.Tick(e.now)
 	}
 	e.fireDue() // zero-latency events scheduled during ticking
 	i := e.now & (ringWindow - 1)
@@ -262,10 +324,86 @@ func farLess(a, b farEvent) bool {
 	return a.seq < b.seq
 }
 
+// idleSpan returns how many cycles, at most limit, the engine can skip
+// from now without changing anything but counters: every ticker is an
+// idle Idler and no event is due before the span ends. It returns 0 when
+// the current cycle must be stepped.
+func (e *Engine) idleSpan(limit uint64) uint64 {
+	if e.plain > 0 || len(e.tickers) == 0 || e.dueNow() {
+		return 0
+	}
+	if e.tickers[e.hot].idle.IdleUntil(e.now) <= e.now {
+		return 0
+	}
+	until := e.now + limit
+	if until < e.now {
+		until = math.MaxUint64
+	}
+	for i, t := range e.tickers {
+		u := t.idle.IdleUntil(e.now)
+		if u <= e.now {
+			e.hot = i
+			return 0
+		}
+		until = min(until, u)
+	}
+	if c, ok := e.nextRingEvent(); ok {
+		until = min(until, c)
+	}
+	if len(e.far) > 0 {
+		until = min(until, e.far[0].cycle)
+	}
+	return until - e.now
+}
+
+// dueNow reports whether any event is due at the current cycle.
+func (e *Engine) dueNow() bool {
+	return len(e.ring[e.now&(ringWindow-1)]) > 0 || (len(e.far) > 0 && e.far[0].cycle <= e.now)
+}
+
+// nextRingEvent returns the cycle of the nearest non-empty ring bucket,
+// scanning the occupancy bitmap circularly from the current cycle's slot.
+// It must only be called when no event is due now.
+func (e *Engine) nextRingEvent() (uint64, bool) {
+	start := e.now & (ringWindow - 1)
+	w, b := start/64, start%64
+	word := e.occ[w] >> b << b // the start word's slots at or after start
+	for i := 0; ; {
+		for word != 0 {
+			bit := uint64(bits.TrailingZeros64(word))
+			slot := w*64 + bit
+			if len(e.ring[slot]) > 0 {
+				return e.now + (slot-start)&(ringWindow-1), true
+			}
+			word &^= 1 << bit
+			e.occ[w] &^= 1 << bit // stale: the bucket has fired since
+		}
+		if i == occWords {
+			return 0, false
+		}
+		i++
+		w = (w + 1) % occWords
+		word = e.occ[w]
+		if i == occWords {
+			word &= 1<<b - 1 // back at the start word: only the wrapped slots
+		}
+	}
+}
+
+// skip advances the clock by n idle cycles, booking them on every ticker.
+func (e *Engine) skip(n uint64) {
+	for _, t := range e.tickers {
+		t.idle.Skip(n)
+	}
+	e.now += n
+}
+
 // Run advances the simulation by n cycles (or until Stop is called) and
 // returns the number of cycles actually executed. A stop requested before
 // Run is entered (for example by an event that fired at the tail of a
 // previous Run) is honored: Run consumes it and returns 0 immediately.
+// Idle spans are skipped (see the package comment); the result is the
+// same as stepping them.
 func (e *Engine) Run(n uint64) uint64 {
 	if e.stopped {
 		e.stopped = false
@@ -276,6 +414,11 @@ func (e *Engine) Run(n uint64) uint64 {
 		if e.stopped {
 			e.stopped = false // honored: this run ends early
 			return done
+		}
+		if k := e.idleSpan(n - done); k > 0 {
+			e.skip(k)
+			done += k
+			continue
 		}
 		e.Step()
 		done++
@@ -291,12 +434,16 @@ func (e *Engine) Run(n uint64) uint64 {
 // already true costs zero cycles. A stop pending from before the call is
 // consumed and returns (0, false) without stepping; as with Run, a stop
 // that fires during the final step stays pending for the next call.
+//
+// cond must depend on model state only, never on Now(): idle spans are
+// skipped without evaluating it, which is exact only because nothing cond
+// may read changes while the model is idle.
 func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool) {
 	if e.stopped {
 		e.stopped = false
 		return 0, false
 	}
-	for cycles = 0; cycles < max; cycles++ {
+	for cycles < max {
 		if cond() {
 			return cycles, true
 		}
@@ -304,7 +451,13 @@ func (e *Engine) RunUntil(cond func() bool, max uint64) (cycles uint64, ok bool)
 			e.stopped = false
 			return cycles, false
 		}
+		if k := e.idleSpan(max - cycles); k > 0 {
+			e.skip(k)
+			cycles += k
+			continue
+		}
 		e.Step()
+		cycles++
 	}
 	return cycles, cond()
 }

@@ -28,11 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 // Separator inserts a horizontal rule.
 func (t *Table) Separator() {
 	t.rows = append(t.rows, nil)

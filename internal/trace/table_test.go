@@ -43,14 +43,6 @@ func TestTableSeparatorAndExtraColumns(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRowf("%d|%s", 42, "x")
-	if !strings.Contains(tb.String(), "42") {
-		t.Fatal("AddRowf row missing")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(113.43, 100); got != "+13.43%" {
 		t.Fatalf("Pct = %q", got)
